@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -261,5 +262,47 @@ func TestGivensProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestGMRESAllocatesBasisOnDemand(t *testing.T) {
+	// A well-conditioned operator converges in a few iterations; the
+	// solve must allocate about that many basis vectors, not Restart+1.
+	const n, restart = 4096, 80
+	rng := rand.New(rand.NewSource(9))
+	diag := make([]complex128, n)
+	for i := range diag {
+		diag[i] = complex(1+0.1*rng.Float64(), 0.1*rng.Float64())
+	}
+	matvecs := 0
+	mv := func(y, x []complex128) {
+		matvecs++
+		for i := range x {
+			y[i] = diag[i] * x[i]
+		}
+	}
+	b := randomVec(rng, n)
+	opts := IterOpts{Tol: 1e-8, Restart: restart}
+	if _, _, err := GMRES(n, mv, b, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	k := matvecs
+	if k >= restart/4 {
+		t.Fatalf("fixture converged in %d matvecs; expected a quick solve", k)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := GMRES(n, mv, b, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	vecBytes := uint64(16 * n)
+	hessenberg := uint64(16 * (restart + 1) * (restart + 3)) // h, cs, sn, g
+	// x, w and the k basis vectors (plus one), with slack for the
+	// Hessenberg bookkeeping.
+	bound := uint64(k+4)*vecBytes + 2*hessenberg
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("GMRES converging in %d matvecs allocated %d B, bound %d B (Restart+1 basis = %d B)",
+			k, got, bound, uint64(restart+1)*vecBytes)
 	}
 }

@@ -65,10 +65,15 @@ func GMRES(n int, mv MatVec, b, x0 []complex128, opts IterOpts) ([]complex128, f
 	}
 
 	m := opts.Restart
-	// Arnoldi basis and Hessenberg in column-major-ish layouts.
+	// Arnoldi basis and Hessenberg in column-major-ish layouts. Basis
+	// vectors are allocated on first use: a solve that converges in k
+	// iterations holds k+1 of them, not Restart+1.
 	v := make([][]complex128, m+1)
-	for i := range v {
-		v[i] = make([]complex128, n)
+	basis := func(i int) []complex128 {
+		if v[i] == nil {
+			v[i] = make([]complex128, n)
+		}
+		return v[i]
 	}
 	h := make([][]complex128, m+1) // h[i][j], i row, j column
 	for i := range h {
@@ -99,8 +104,9 @@ func GMRES(n int, mv MatVec, b, x0 []complex128, opts IterOpts) ([]complex128, f
 			return x, relres, nil
 		}
 		inv := complex(1/beta, 0)
+		v0 := basis(0)
 		for i := range w {
-			v[0][i] = w[i] * inv
+			v0[i] = w[i] * inv
 		}
 		for i := range g {
 			g[i] = 0
@@ -128,8 +134,9 @@ func GMRES(n int, mv MatVec, b, x0 []complex128, opts IterOpts) ([]complex128, f
 			h[j+1][j] = complex(hj1, 0)
 			if hj1 > 0 {
 				inv := complex(1/hj1, 0)
+				vj1 := basis(j + 1)
 				for i := range w {
-					v[j+1][i] = w[i] * inv
+					vj1[i] = w[i] * inv
 				}
 			}
 			// Apply accumulated Givens rotations to the new column.

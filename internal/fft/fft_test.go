@@ -50,7 +50,8 @@ func maxDiff(a, b []complex128) float64 {
 
 func TestForwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	// Powers of two exercise radix-2; others exercise Bluestein.
+	// Lengths of 2, 3 and 5 factors take mixed-radix plans; 7 and 33
+	// take Bluestein plans.
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 3, 5, 7, 12, 15, 33, 100} {
 		x := randVec(rng, n)
 		got := Forward(x)

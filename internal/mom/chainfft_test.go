@@ -218,14 +218,15 @@ func TestFFTOperatorBuildWorkersBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The spectral families are a deterministic transform of the fitted
+	// real-space kernels, so comparing all four checks the fits too.
 	for med := 0; med < 2; med++ {
 		for q := 0; q <= 3; q++ {
-			for idx := range op1.realK[med].g[q] {
-				if op1.realK[med].g[q][idx] != opN.realK[med].g[q][idx] ||
-					op1.realK[med].gx[q][idx] != opN.realK[med].gx[q][idx] ||
-					op1.realK[med].gy[q][idx] != opN.realK[med].gy[q][idx] ||
-					op1.realK[med].gz[q][idx] != opN.realK[med].gz[q][idx] ||
-					op1.spec[med].g[q][idx] != opN.spec[med].g[q][idx] {
+			for idx := range op1.spec[med].g[q] {
+				if op1.spec[med].g[q][idx] != opN.spec[med].g[q][idx] ||
+					op1.spec[med].gx[q][idx] != opN.spec[med].gx[q][idx] ||
+					op1.spec[med].gy[q][idx] != opN.spec[med].gy[q][idx] ||
+					op1.spec[med].gz[q][idx] != opN.spec[med].gz[q][idx] {
 					t.Fatalf("kernel fit differs between worker counts at med=%d q=%d idx=%d", med, q, idx)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
+	"sync/atomic"
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/fft"
@@ -36,6 +37,12 @@ import (
 // regime, as in ref. [17]. Construction returns a typed
 // resilience.KindNumerical error outside it; use the dense or tabulated
 // paths there (the resilient solve chain does exactly that).
+//
+// The operator keeps only the spectral kernels: the fitted real-space
+// coefficients are transformed in place once the near corrections (their
+// last reader) are built. One MatVec runs 4·(P+1) forward and 2·(P+1)
+// inverse 2-D FFTs (42 at the default P = 6) and allocates nothing once
+// warm; MatVec is safe for concurrent use.
 type FFTOperator struct {
 	N     int
 	Order int
@@ -44,15 +51,19 @@ type FFTOperator struct {
 	h    float64
 	l    float64
 	beta complex128
+	near int // near-correction radius in cells (Options.NearRadius)
 
 	f            []float64
 	fpow         [][]float64
 	jnx, jny     []float64
 	spec         [2]kernelFamilies // spectral kernels (FFT of c_q·h²)
-	realK        [2]kernelFamilies // real-space kernels for near model
-	nearEntries  []nearEntry
+	nearEntries  []nearEntry       // row i's (2·near+1)² window, row-major in (dy, dx)
 	diag1, diag2 complex128
 	curv         []float64
+
+	// scratch is the idle MatVec working set, taken for the length of
+	// one call; a concurrent caller that finds it taken builds its own.
+	scratch atomic.Pointer[matvecScratch]
 }
 
 // kernelFamilies holds the four per-order kernel sets of one medium.
@@ -60,9 +71,11 @@ type kernelFamilies struct {
 	g, gx, gy, gz [][]complex128 // [order+1][m*m]
 }
 
+// nearEntry holds the exact − polynomial-model corrections of one
+// (row i, window offset) pair; the source j follows from i and the
+// entry's position in nearEntries.
 type nearEntry struct {
-	i, j           int
-	s1, s2, d1, d2 complex128 // exact − polynomial-model corrections
+	s1, s2, d1, d2 complex128
 }
 
 // kernelSource evaluates one medium's periodic Green's function (and
@@ -223,7 +236,7 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 	h := s.Step()
 	zmax := surfaceZMax(s)
 
-	op := &FFTOperator{N: n, Order: order, m: m, h: h, l: s.L, beta: p.Beta, f: s.H}
+	op := &FFTOperator{N: n, Order: order, m: m, h: h, l: s.L, beta: p.Beta, near: opt.NearRadius, f: s.H}
 	fx, fy := s.Gradients()
 	fxx, fyy, _ := s.SecondDerivs()
 	op.jnx = make([]float64, n)
@@ -245,28 +258,29 @@ func buildFFTOperator(s *surface.Surface, p Params, order int, opt Options, src1
 	}
 
 	zfit := fitSpan(zmax, h)
+	var rk [2]kernelFamilies
 	for med, src := range []kernelSource{src1, src2} {
-		rk := fitKernels(src, m, h, order, zfit, opt.Workers)
-		op.realK[med] = rk
-		var sp kernelFamilies
-		sp.g = make([][]complex128, order+1)
-		sp.gx = make([][]complex128, order+1)
-		sp.gy = make([][]complex128, order+1)
-		sp.gz = make([][]complex128, order+1)
-		for q := 0; q <= order; q++ {
-			sp.g[q] = fft.Forward2D(rk.g[q], m, m)
-			sp.gx[q] = fft.Forward2D(rk.gx[q], m, m)
-			sp.gy[q] = fft.Forward2D(rk.gy[q], m, m)
-			sp.gz[q] = fft.Forward2D(rk.gz[q], m, m)
-		}
-		op.spec[med] = sp
+		rk[med] = fitKernels(src, m, h, order, zfit, opt.Workers)
 	}
 
 	selfSing := complex(h*math.Log(1+math.Sqrt2)/math.Pi, 0)
 	op.diag1 = selfSing + complex(h*h, 0)*src1.regularized()
 	op.diag2 = selfSing + complex(h*h, 0)*src2.regularized()
 
-	op.buildNearCorrections(s, src1, src2, opt)
+	op.buildNearCorrections(s, src1, src2, &rk, opt)
+
+	// The near corrections were the last reader of the real-space
+	// kernels: transform them in place into the spectral families, so
+	// the build never holds both.
+	work := make([]complex128, n)
+	for med := range rk {
+		for _, fam := range [][][]complex128{rk[med].g, rk[med].gx, rk[med].gy, rk[med].gz} {
+			for _, k := range fam {
+				fft.Forward2DTo(k, k, work, m, m)
+			}
+		}
+	}
+	op.spec = rk
 	return op, nil
 }
 
@@ -387,14 +401,14 @@ func vandermondeInverse(nodes []float64) [][]float64 {
 	return inv
 }
 
-// modelEntry evaluates the polynomial-model S and D entries for a pair.
-func (op *FFTOperator) modelEntry(med, i, j int) (sv, dv complex128) {
+// modelEntry evaluates the polynomial-model S and D entries for a pair
+// from one medium's real-space kernels rk.
+func (op *FFTOperator) modelEntry(rk *kernelFamilies, i, j int) (sv, dv complex128) {
 	m := op.m
 	px := ((i%m-j%m)%m + m) % m
 	py := ((i/m-j/m)%m + m) % m
 	idx := py*m + px
 	dz := op.f[i] - op.f[j]
-	rk := op.realK[med]
 	var zp complex128 = 1
 	for q := 0; q <= op.Order; q++ {
 		sv += rk.g[q][idx] * zp
@@ -419,20 +433,18 @@ const nearChebOrder = 16
 // exact kernel evaluations (Ewald sums for the dielectric medium) into
 // a few thousand plus cheap Clenshaw evaluations.
 type nearChebCache struct {
-	dim  int     // per-axis index count = (2·near+1)·sub
-	span float64 // |Δz| half-range the fit covers (0 for flat surfaces)
-	c    [][4][]complex128
+	dim  int               // per-axis index count = (2·near+1)·sub
+	span float64           // |Δz| half-range the fit covers (0 for flat surfaces)
+	c    [][][4]complex128 // per point: degree-j coefficients of (G, ∂x, ∂y, ∂z)
 }
 
 func (nc *nearChebCache) eval(ax, ay int, dz float64) (complex128, [3]complex128) {
-	e := &nc.c[ax*nc.dim+ay]
 	var t float64
 	if nc.span > 0 {
 		t = dz / nc.span
 	}
-	return clenshaw(e[0], t), [3]complex128{
-		clenshaw(e[1], t), clenshaw(e[2], t), clenshaw(e[3], t),
-	}
+	v := clenshaw4(nc.c[ax*nc.dim+ay], t)
+	return v[0], [3]complex128{v[1], v[2], v[3]}
 }
 
 // fitNearCheb samples src at Chebyshev Δz-nodes for every near lateral
@@ -444,7 +456,7 @@ func (nc *nearChebCache) eval(ax, ay int, dz float64) (complex128, [3]complex128
 func fitNearCheb(src kernelSource, opt Options, span float64, workers int) *nearChebCache {
 	near, sub := opt.NearRadius, opt.NearSubdiv
 	dim := (2*near + 1) * sub
-	nc := &nearChebCache{dim: dim, span: span, c: make([][4][]complex128, dim*dim)}
+	nc := &nearChebCache{dim: dim, span: span, c: make([][][4]complex128, dim*dim)}
 	nn := nearChebOrder + 1
 	if span == 0 {
 		nn = 1
@@ -477,9 +489,13 @@ func fitNearCheb(src kernelSource, opt Options, span float64, workers int) *near
 					samp[2][k] = gr[1]
 					samp[3][k] = gr[2]
 				}
+				coef := make([][4]complex128, nn)
 				for q := range samp {
-					nc.c[idx][q] = chebCoeffs(samp[q])
+					for j, c := range chebCoeffs(samp[q]) {
+						coef[j][q] = c
+					}
 				}
+				nc.c[idx] = coef
 			}
 		}()
 	}
@@ -497,7 +513,7 @@ func fitNearCheb(src kernelSource, opt Options, span float64, workers int) *near
 // row's window is computed independently into a preallocated slot, so
 // the loop parallelizes over the worker budget with a bitwise
 // deterministic result.
-func (op *FFTOperator) buildNearCorrections(s *surface.Surface, src1, src2 kernelSource, opt Options) {
+func (op *FFTOperator) buildNearCorrections(s *surface.Surface, src1, src2 kernelSource, rk *[2]kernelFamilies, opt Options) {
 	m := op.m
 	h := op.h
 	fx, fy := s.Gradients()
@@ -561,10 +577,9 @@ func (op *FFTOperator) buildNearCorrections(s *surface.Surface, src1, src2 kerne
 								}
 							}
 						}
-						t1s, t1d := op.modelEntry(0, i, j)
-						t2s, t2d := op.modelEntry(1, i, j)
+						t1s, t1d := op.modelEntry(&rk[0], i, j)
+						t2s, t2d := op.modelEntry(&rk[1], i, j)
 						op.nearEntries[i*win*win+(dyC+opt.NearRadius)*win+(dxC+opt.NearRadius)] = nearEntry{
-							i: i, j: j,
 							s1: s1 - t1s, s2: s2 - t2s,
 							d1: d1 - t1d, d2: d2 - t2d,
 						}
@@ -580,114 +595,116 @@ func (op *FFTOperator) buildNearCorrections(s *surface.Surface, src1, src2 kerne
 	wg.Wait()
 }
 
+// matvecScratch is one MatVec's working set: the forward transforms of
+// the order-weighted input fields, a spectral accumulator and FFT work
+// space, 4·(P+1)+2 arrays of N.
+type matvecScratch struct {
+	srcU          [][]complex128 // FFT[(−f)^q ⊙ U]
+	plain, wx, wy [][]complex128 // FFT[(−f)^q ⊙ Ψ], also weighted by −∂x f, −∂y f
+	acc, work     []complex128
+}
+
+func (op *FFTOperator) newScratch() *matvecScratch {
+	grid := func() [][]complex128 {
+		g := make([][]complex128, op.Order+1)
+		for q := range g {
+			g[q] = make([]complex128, op.N)
+		}
+		return g
+	}
+	return &matvecScratch{srcU: grid(), plain: grid(), wx: grid(), wy: grid(),
+		acc: make([]complex128, op.N), work: make([]complex128, op.N)}
+}
+
 // MatVec applies the full 2N×2N system (9) to x = [Ψ; U], writing y.
+//
+//	S·v = Σ_l f^l ⊙ IFFT[ Σ_q binom(l+q,l)·Ĝ_{l+q} ⊙ FFT[(−f)^q ⊙ v] ]
+//
+// and D·v uses the (gx, gy) families against source-normal-weighted v
+// and the gz family against plain v. The forward transforms depend only
+// on x, so both media share them; and since S and D are linear up to
+// the inverse transform, each (medium, l) pair sums its S and D terms in
+// the spectral domain and inverts once. It allocates nothing once warm
+// and may be called concurrently.
 func (op *FFTOperator) MatVec(y, x []complex128) {
 	n := op.N
 	m := op.m
 	psi := x[:n]
 	u := x[n : 2*n]
+	sc := op.scratch.Swap(nil)
+	if sc == nil {
+		sc = op.newScratch()
+	}
+	defer op.scratch.Store(sc)
 
-	// S·v  = Σ_l f^l ⊙ IFFT[ Σ_q binom(l+q,l)·Ĝ_{l+q} ⊙ FFT[(−f)^q ⊙ v] ]
-	// D·v uses the (gx, gy) families against source-normal-weighted v and
-	// the gz family against plain v. The forward transforms of the
-	// q-weighted input fields depend only on the input vector, so they
-	// are computed once and shared by both media.
-	fwdS := func(v []complex128) [][]complex128 {
-		srcs := make([][]complex128, op.Order+1)
-		for q := 0; q <= op.Order; q++ {
-			pv := make([]complex128, n)
-			sign := 1.0
-			if q%2 == 1 {
-				sign = -1
-			}
-			for i := range pv {
-				pv[i] = complex(sign*op.fpow[q][i], 0) * v[i]
-			}
-			srcs[q] = fft.Forward2D(pv, m, m)
+	for q := 0; q <= op.Order; q++ {
+		sign := 1.0
+		if q%2 == 1 {
+			sign = -1
 		}
-		return srcs
-	}
-	applyS := func(med int, srcs [][]complex128) []complex128 {
-		sp := op.spec[med]
-		out := make([]complex128, n)
-		for l := 0; l <= op.Order; l++ {
-			acc := make([]complex128, n)
-			for q := 0; l+q <= op.Order; q++ {
-				b := complex(specfun.Binomial(l+q, l), 0)
-				kh := sp.g[l+q]
-				sq := srcs[q]
-				for idx := range acc {
-					acc[idx] += b * kh[idx] * sq[idx]
-				}
-			}
-			conv := fft.Inverse2D(acc, m, m)
-			for i := range out {
-				out[i] += conv[i] * complex(op.fpow[l][i], 0)
-			}
+		fq := op.fpow[q]
+		su, pp, px, py := sc.srcU[q], sc.plain[q], sc.wx[q], sc.wy[q]
+		for i := range su {
+			w := complex(sign*fq[i], 0)
+			su[i] = w * u[i]
+			base := w * psi[i]
+			pp[i] = base
+			px[i] = base * complex(op.jnx[i], 0)
+			py[i] = base * complex(op.jny[i], 0)
 		}
-		return out
-	}
-	fwdD := func(v []complex128) (plain, wx, wy [][]complex128) {
-		plain = make([][]complex128, op.Order+1)
-		wx = make([][]complex128, op.Order+1)
-		wy = make([][]complex128, op.Order+1)
-		for q := 0; q <= op.Order; q++ {
-			pv := make([]complex128, n)
-			px := make([]complex128, n)
-			py := make([]complex128, n)
-			sign := 1.0
-			if q%2 == 1 {
-				sign = -1
-			}
-			for i := range pv {
-				base := complex(sign*op.fpow[q][i], 0) * v[i]
-				pv[i] = base
-				px[i] = base * complex(op.jnx[i], 0)
-				py[i] = base * complex(op.jny[i], 0)
-			}
-			plain[q] = fft.Forward2D(pv, m, m)
-			wx[q] = fft.Forward2D(px, m, m)
-			wy[q] = fft.Forward2D(py, m, m)
+		for _, a := range [][]complex128{su, pp, px, py} {
+			fft.Forward2DTo(a, a, sc.work, m, m)
 		}
-		return plain, wx, wy
 	}
-	applyD := func(med int, plain, wx, wy [][]complex128) []complex128 {
-		sp := op.spec[med]
-		out := make([]complex128, n)
-		for l := 0; l <= op.Order; l++ {
-			acc := make([]complex128, n)
-			for q := 0; l+q <= op.Order; q++ {
-				b := complex(specfun.Binomial(l+q, l), 0)
-				gx := sp.gx[l+q]
-				gy := sp.gy[l+q]
-				gz := sp.gz[l+q]
-				for idx := range acc {
-					acc[idx] += b * -(gx[idx]*wx[q][idx] + gy[idx]*wy[q][idx] + gz[idx]*plain[q][idx])
-				}
-			}
-			conv := fft.Inverse2D(acc, m, m)
-			for i := range out {
-				out[i] += conv[i] * complex(op.fpow[l][i], 0)
-			}
-		}
-		return out
-	}
-
-	srcs := fwdS(u)
-	plain, wx, wy := fwdD(psi)
-	s1u := applyS(0, srcs)
-	s2u := applyS(1, srcs)
-	d1p := applyD(0, plain, wx, wy)
-	d2p := applyD(1, plain, wx, wy)
 
 	for i := 0; i < n; i++ {
 		cv := complex(op.curv[i], 0)
-		y[i] = 0.5*psi[i] - d1p[i] - cv*psi[i] + op.beta*(s1u[i]+op.diag1*u[i])
-		y[n+i] = 0.5*psi[i] + d2p[i] + cv*psi[i] - s2u[i] - op.diag2*u[i]
+		y[i] = 0.5*psi[i] - cv*psi[i] + op.beta*op.diag1*u[i]
+		y[n+i] = 0.5*psi[i] + cv*psi[i] - op.diag2*u[i]
 	}
-	for _, e := range op.nearEntries {
-		y[e.i] += -e.d1*psi[e.j] + op.beta*e.s1*u[e.j]
-		y[e.i+n] += e.d2*psi[e.j] - e.s2*u[e.j]
+	// Row 1 adds β·S₁U − D₁Ψ, row 2 adds D₂Ψ − S₂U, where the D kernel
+	// enters as −(gx·wx + gy·wy + gz·plain).
+	for med := 0; med < 2; med++ {
+		sp := &op.spec[med]
+		cs, cd := op.beta, 1.0
+		if med == 1 {
+			cs, cd = -1, -1
+		}
+		out := y[med*n : (med+1)*n]
+		acc := sc.acc
+		for l := 0; l <= op.Order; l++ {
+			clear(acc)
+			for q := 0; l+q <= op.Order; q++ {
+				b := specfun.Binomial(l+q, l)
+				bs, bd := complex(b, 0)*cs, b*cd
+				g, gx, gy, gz := sp.g[l+q], sp.gx[l+q], sp.gy[l+q], sp.gz[l+q]
+				su, pp, px, py := sc.srcU[q], sc.plain[q], sc.wx[q], sc.wy[q]
+				for idx := range acc {
+					d := gx[idx]*px[idx] + gy[idx]*py[idx] + gz[idx]*pp[idx]
+					acc[idx] += bs*(g[idx]*su[idx]) + complex(bd*real(d), bd*imag(d))
+				}
+			}
+			fft.Inverse2DTo(acc, acc, sc.work, m, m)
+			fl := op.fpow[l]
+			for i := range out {
+				out[i] += acc[i] * complex(fl[i], 0)
+			}
+		}
+	}
+
+	k := 0
+	for i := 0; i < n; i++ {
+		iy, ix := i/m, i%m
+		for dy := -op.near; dy <= op.near; dy++ {
+			jrow := ((iy-dy)%m + m) % m * m
+			for dx := -op.near; dx <= op.near; dx++ {
+				j := jrow + ((ix-dx)%m+m)%m
+				e := &op.nearEntries[k]
+				k++
+				y[i] += -e.d1*psi[j] + op.beta*e.s1*u[j]
+				y[i+n] += e.d2*psi[j] - e.s2*u[j]
+			}
+		}
 	}
 }
 
@@ -726,8 +743,8 @@ func (op *FFTOperator) solveVec(ctx context.Context, rhs []complex128, tol float
 	// the chain's verification threshold applies to it directly (left
 	// preconditioning would skew the relative residual by the
 	// preconditioner's conditioning, which is large when β is small).
+	tmp := make([]complex128, n2)
 	mv := func(y, x []complex128) {
-		tmp := make([]complex128, n2)
 		pre(tmp, x)
 		op.MatVec(y, tmp)
 	}

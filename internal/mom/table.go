@@ -101,14 +101,48 @@ func chebCoeffs(samples []complex128) []complex128 {
 	return out
 }
 
-// clenshaw evaluates a Chebyshev expansion at t ∈ [−1, 1].
+// clenshaw evaluates a Chebyshev expansion at t ∈ [−1, 1]. The real
+// and imaginary parts run the recurrence separately, scaled by the real
+// 2t: a complex product would spend two more multiplies per step on the
+// zero imaginary part of 2t.
 func clenshaw(c []complex128, t float64) complex128 {
-	var b1, b2 complex128
-	tt := complex(2*t, 0)
+	var b1r, b1i, b2r, b2i float64
+	tt := 2 * t
 	for j := len(c) - 1; j >= 1; j-- {
-		b1, b2 = c[j]+tt*b1-b2, b1
+		b1r, b2r = real(c[j])+tt*b1r-b2r, b1r
+		b1i, b2i = imag(c[j])+tt*b1i-b2i, b1i
 	}
-	return c[0] + complex(t, 0)*b1 - b2
+	return complex(real(c[0])+t*b1r-b2r, imag(c[0])+t*b1i-b2i)
+}
+
+// clenshaw4 evaluates four Chebyshev expansions sharing t in one pass;
+// c[j] holds the four degree-j coefficients. Each lane performs exactly
+// clenshaw's operations, so the values are bitwise those of four
+// clenshaw calls.
+func clenshaw4(c [][4]complex128, t float64) [4]complex128 {
+	var a1r, a1i, a2r, a2i float64 // lane 0: b_{j+1}, b_{j+2}
+	var b1r, b1i, b2r, b2i float64 // lane 1
+	var c1r, c1i, c2r, c2i float64 // lane 2
+	var d1r, d1i, d2r, d2i float64 // lane 3
+	tt := 2 * t
+	for j := len(c) - 1; j >= 1; j-- {
+		e := &c[j]
+		a1r, a2r = real(e[0])+tt*a1r-a2r, a1r
+		a1i, a2i = imag(e[0])+tt*a1i-a2i, a1i
+		b1r, b2r = real(e[1])+tt*b1r-b2r, b1r
+		b1i, b2i = imag(e[1])+tt*b1i-b2i, b1i
+		c1r, c2r = real(e[2])+tt*c1r-c2r, c1r
+		c1i, c2i = imag(e[2])+tt*c1i-c2i, c1i
+		d1r, d2r = real(e[3])+tt*d1r-d2r, d1r
+		d1i, d2i = imag(e[3])+tt*d1i-d2i, d1i
+	}
+	e := &c[0]
+	return [4]complex128{
+		complex(real(e[0])+t*a1r-a2r, imag(e[0])+t*a1i-a2i),
+		complex(real(e[1])+t*b1r-b2r, imag(e[1])+t*b1i-b2i),
+		complex(real(e[2])+t*c1r-c2r, imag(e[2])+t*c1i-c2i),
+		complex(real(e[3])+t*d1r-d2r, imag(e[3])+t*d1i-d2i),
+	}
 }
 
 func newTabulated(g *greens.Periodic3D, L float64, M int, zspan float64, opt Options) *tabulated {

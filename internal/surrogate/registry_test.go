@@ -143,9 +143,12 @@ func TestRegistrySingleFlight(t *testing.T) {
 			recs[i], errs[i] = reg.GetOrBuild(context.Background(), src, spec)
 		}(i)
 	}
-	// Wait for the build flight to register, then let it run.
+	// Wait for the build flight to register and every other caller to
+	// join it, then let it run: releasing earlier lets a late caller find
+	// the finished record instead of the flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for src.calls.Load() == 0 && time.Now().Before(deadline) {
+	for (src.calls.Load() == 0 || counterValue(m, "surrogate.builds_shared") < callers-1) &&
+		time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, full test suite, then the race
 # detector over the concurrent packages (worker pools, fallback chain,
-# solver cache) in short mode so the whole script stays a few minutes.
+# solver cache, FFT plan cache, shared MatVec scratch) in short mode so
+# the whole script stays a few minutes.
 set -eux
 
 go build ./...
@@ -14,6 +15,7 @@ fi
 go test ./...
 go test -race -short ./internal/montecarlo/... ./internal/sscm/... \
     ./internal/resilience/... ./internal/mom/... ./internal/core/... \
+    ./internal/fft/... ./internal/cmplxmat/... \
     ./internal/server/... ./internal/jobs/... ./internal/rescache/... \
     ./internal/telemetry/... ./internal/sweepengine/... \
     ./internal/surrogate/... ./internal/trace/... ./internal/journal/... \
