@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
-	"sync"
 
 	"roughsim"
+	"roughsim/internal/rescache"
 	"roughsim/internal/telemetry"
 )
 
@@ -13,15 +13,14 @@ import (
 // independent part of the config and shares one Green's-function table
 // cache across tasks — the worker's mirror of the server's simFor, so a
 // worker grinding through one sweep's columns builds its solver state
-// once.
+// once. Distinct configs build concurrently.
 type Columns struct {
 	metrics *telemetry.Registry
 	tables  *roughsim.TableCache
-
-	mu   sync.Mutex
-	sims map[string]*roughsim.Simulation
+	sims    *rescache.Cache[rescache.Key, *roughsim.Simulation]
 }
 
+// simCacheCap bounds the memoized simulations.
 const simCacheCap = 32
 
 // NewColumns builds a solver pool publishing telemetry to m (nil
@@ -33,7 +32,7 @@ func NewColumns(m *telemetry.Registry) *Columns {
 	return &Columns{
 		metrics: m,
 		tables:  roughsim.NewTableCache(0, m),
-		sims:    map[string]*roughsim.Simulation{},
+		sims:    rescache.MustNew[rescache.Key](simCacheCap, rescache.Options[*roughsim.Simulation]{}),
 	}
 }
 
@@ -43,28 +42,15 @@ func (c *Columns) Solve(ctx context.Context, t Task) ([]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sim, err := c.simFor(cfg)
+	sim, _, err := c.sims.GetOrCompute(ctx, cfg.KeyAt(1), func(context.Context) (*roughsim.Simulation, error) {
+		sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
+		if err != nil {
+			return nil, err
+		}
+		return sim.WithMetrics(c.metrics).WithTableCache(c.tables), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return sim.SweepColumn(ctx, cfg.Freqs, t.Node, t.Ps)
-}
-
-func (c *Columns) simFor(cfg roughsim.SweepConfig) (*roughsim.Simulation, error) {
-	key := cfg.KeyAt(1).String()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sim, ok := c.sims[key]; ok {
-		return sim, nil
-	}
-	sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
-	if err != nil {
-		return nil, err
-	}
-	sim.WithMetrics(c.metrics).WithTableCache(c.tables)
-	if len(c.sims) >= simCacheCap {
-		c.sims = map[string]*roughsim.Simulation{}
-	}
-	c.sims[key] = sim
-	return sim, nil
 }

@@ -25,6 +25,7 @@ import (
 
 	"roughsim/internal/cmplxmat"
 	"roughsim/internal/mom"
+	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
 	"roughsim/internal/surface"
 	"roughsim/internal/telemetry"
@@ -106,22 +107,25 @@ type Solver struct {
 	Injector *resilience.Injector
 
 	// Metrics, when non-nil, receives solve.* telemetry (latency
-	// histogram, fallback-stage counters, flat-reference cache hits).
-	// Set it before the first solve; it is read without locking.
+	// histogram, fallback-stage counters, flat-reference cache hits,
+	// and tables.* of the private table cache). Set it before the first
+	// solve; it is read without locking.
 	Metrics *telemetry.Registry
 
 	key uint64 // running solve counter, the injector key
 
-	// tables caches the per-frequency Green's-function table sets. It
-	// defaults to a private cache and can be replaced (before the first
-	// solve) by a shared one, so sweep points, solvers and roughsimd
-	// jobs at overlapping frequencies build each table exactly once.
+	// tables caches the per-frequency Green's-function table sets: a
+	// shared cache set by SetTableCache, else a private one built at
+	// first use. Sweep points, solvers and roughsimd jobs sharing one
+	// cache build each frequency's tables exactly once.
 	tables *mom.TableCache
+	// flat caches the flat-surface references per frequency; concurrent
+	// callers at a new frequency (N collocation nodes) share one solve.
+	flat     *rescache.Cache[flatKey, float64]
+	initOnce sync.Once
 
-	mu        sync.Mutex
-	flatPabs  map[flatKey]float64
-	flatCalls map[flatKey]*flatCall
-	stats     SolveStats
+	mu    sync.Mutex
+	stats SolveStats
 }
 
 type flatKey struct {
@@ -129,13 +133,25 @@ type flatKey struct {
 	tw bool // 2D (profile) reference
 }
 
-// flatCall is one in-flight flat-reference solve; waiters share it
-// instead of duplicating the solve (N concurrent collocation nodes at a
-// new frequency would otherwise each solve the same flat system).
-type flatCall struct {
-	done chan struct{}
-	v    float64
-	err  error
+// flatCacheCap bounds the flat-reference cache far above any sweep's
+// frequency count, so no sweep evicts its own references.
+const flatCacheCap = 1 << 16
+
+// caches builds, on first use, the private table cache (unless
+// SetTableCache attached a shared one) and the flat-reference cache,
+// both instrumented with Metrics.
+func (s *Solver) caches() {
+	s.initOnce.Do(func() {
+		m := s.Metrics
+		if s.tables == nil {
+			s.tables = mom.NewTableCache(0, m)
+		}
+		s.flat = rescache.MustNew[flatKey](flatCacheCap, rescache.Options[float64]{Counters: &rescache.Counters{
+			Hits:   m.Counter("core.flat_hits"),
+			Misses: m.Counter("core.flat_solves"),
+			Shared: m.Counter("core.flat_shared"),
+		}})
+	})
 }
 
 // NewSolver builds a Solver for an L-periodic patch with an M×M grid.
@@ -144,9 +160,7 @@ func NewSolver(mat Material, L float64, M int, opt mom.Options) (*Solver, error)
 		return nil, resilience.Errorf(resilience.KindInvalidInput, "core.NewSolver",
 			"needs L > 0, M ≥ 2 (got L=%g, M=%d)", L, M)
 	}
-	return &Solver{Mat: mat, L: L, M: M, Opt: opt,
-		flatPabs: map[flatKey]float64{}, flatCalls: map[flatKey]*flatCall{},
-		tables: mom.NewTableCache(0, nil)}, nil
+	return &Solver{Mat: mat, L: L, M: M, Opt: opt}, nil
 }
 
 // NewSolverTabulated builds a Solver that assembles through per-frequency
@@ -246,11 +260,8 @@ func (s *Solver) solve(ctx context.Context, sys *mom.System) (*mom.Solution, err
 	return sol, nil
 }
 
-// TableCache returns the solver's Green's-function table cache.
-func (s *Solver) TableCache() *mom.TableCache { return s.tables }
-
-// SetTableCache replaces the solver's private table cache by a shared
-// one. Call it before the first solve.
+// SetTableCache attaches a shared table cache in place of the
+// solver's private one. Call it before the first solve.
 func (s *Solver) SetTableCache(tc *mom.TableCache) {
 	if tc != nil {
 		s.tables = tc
@@ -259,8 +270,10 @@ func (s *Solver) SetTableCache(tc *mom.TableCache) {
 
 // tableFor returns (building on first use, single-flighted across
 // callers) the frequency's table set. The build runs outside any solver
-// lock, so tables for distinct frequencies build in parallel.
-func (s *Solver) tableFor(ctx context.Context, f float64) *mom.TableSet {
+// lock, so tables for distinct frequencies build in parallel; a caller
+// whose ctx ends while another builds gets the ctx error.
+func (s *Solver) tableFor(ctx context.Context, f float64) (*mom.TableSet, error) {
+	s.caches()
 	return s.tables.GetCtx(ctx, s.Mat.Params(f), s.L, s.M, s.ZSpan, s.Opt)
 }
 
@@ -269,15 +282,10 @@ func (s *Solver) assemble(ctx context.Context, surf *surface.Surface, f float64)
 	return s.AssembleSurfaceCtx(ctx, surf, f, 0)
 }
 
-// AssembleSurface assembles the MoM system for surf at f through the
-// solver's configured path (tabulated when ZSpan > 0). workers > 0
+// AssembleSurfaceCtx assembles the MoM system for surf at f through
+// the solver's configured path (tabulated when ZSpan > 0). workers > 0
 // overrides the solver's assembly parallelism — the batched sweep
-// engine splits its worker budget across concurrent points.
-func (s *Solver) AssembleSurface(surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	return s.AssembleSurfaceCtx(context.Background(), surf, f, workers)
-}
-
-// AssembleSurfaceCtx is AssembleSurface with trace propagation: the
+// engine splits its worker budget across concurrent points. The
 // assembly runs under a "mom.assemble" span (and any table build it
 // forces under a nested "tables.build" span) of the context's trace.
 func (s *Solver) AssembleSurfaceCtx(ctx context.Context, surf *surface.Surface, f float64, workers int) (*mom.System, error) {
@@ -293,14 +301,13 @@ func (s *Solver) AssembleSurfaceCtx(ctx context.Context, surf *surface.Surface, 
 		sp.End()
 	}()
 	if s.ZSpan > 0 {
-		return mom.AssembleTabulated(surf, s.Mat.Params(f), s.tableFor(ctx, f), opt)
+		ts, err := s.tableFor(ctx, f)
+		if err != nil {
+			return nil, err
+		}
+		return mom.AssembleTabulated(surf, s.Mat.Params(f), ts, opt)
 	}
 	return mom.Assemble(surf, s.Mat.Params(f), opt), nil
-}
-
-// PrepareSurface is PrepareSurfaceCtx without trace propagation.
-func (s *Solver) PrepareSurface(surf *surface.Surface, f float64, workers int) (*mom.System, error) {
-	return s.PrepareSurfaceCtx(context.Background(), surf, f, workers)
 }
 
 // PrepareSurfaceCtx builds the system for surf at f through the
@@ -319,7 +326,10 @@ func (s *Solver) PrepareSurfaceCtx(ctx context.Context, surf *surface.Surface, f
 	}
 	var ts *mom.TableSet
 	if s.ZSpan > 0 {
-		ts = s.tableFor(ctx, f)
+		var err error
+		if ts, err = s.tableFor(ctx, f); err != nil {
+			return nil, err
+		}
 	}
 	dense := func() (*cmplxmat.Matrix, error) {
 		s.Metrics.Counter("solve.dense_materialized").Inc()
@@ -355,49 +365,18 @@ func (s *Solver) SolveSystem(ctx context.Context, sys *mom.System) (*mom.Solutio
 	return s.solve(ctx, sys)
 }
 
-// FlatPabs returns (computing and caching on first use) the numerically
-// solved flat-surface absorbed power at frequency f.
-func (s *Solver) FlatPabs(f float64) (float64, error) {
-	return s.FlatPabsCtx(context.Background(), f)
-}
-
-// FlatPabsCtx is FlatPabs honoring cancellation. Concurrent callers at
-// the same frequency share a single solve (errors are not cached: every
-// waiter of a failed solve receives the error and the next call
-// retries). A waiter whose own ctx expires stops waiting with its ctx
-// error while the computation continues for the others.
+// FlatPabsCtx returns (computing and caching on first use) the
+// numerically solved flat-surface absorbed power at frequency f.
+// Concurrent callers at the same frequency share a single solve (errors
+// are not cached: every waiter of a failed solve receives the error and
+// the next call retries). A waiter whose own ctx expires stops waiting
+// with its ctx error while the computation continues for the others.
 func (s *Solver) FlatPabsCtx(ctx context.Context, f float64) (float64, error) {
-	key := flatKey{f, false}
-	s.mu.Lock()
-	if v, ok := s.flatPabs[key]; ok {
-		s.mu.Unlock()
-		s.Metrics.Counter("core.flat_hits").Inc()
-		return v, nil
-	}
-	if cl, ok := s.flatCalls[key]; ok {
-		s.mu.Unlock()
-		s.Metrics.Counter("core.flat_shared").Inc()
-		select {
-		case <-cl.done:
-			return cl.v, cl.err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	cl := &flatCall{done: make(chan struct{})}
-	s.flatCalls[key] = cl
-	s.mu.Unlock()
-	s.Metrics.Counter("core.flat_solves").Inc()
-
-	cl.v, cl.err = s.flatSolve(ctx, f)
-	s.mu.Lock()
-	delete(s.flatCalls, key)
-	if cl.err == nil {
-		s.flatPabs[key] = cl.v
-	}
-	s.mu.Unlock()
-	close(cl.done)
-	return cl.v, cl.err
+	s.caches()
+	v, _, err := s.flat.GetOrCompute(ctx, flatKey{f, false}, func(ctx context.Context) (float64, error) {
+		return s.flatSolve(ctx, f)
+	})
+	return v, err
 }
 
 // flatSolve runs the flat-reference assembly and solve at f.
@@ -478,40 +457,18 @@ func (s *Solver) LossFactorCtx(ctx context.Context, surf *surface.Surface, f flo
 	return sol.Pabs / flat, nil
 }
 
-// SweepLossFactor computes K(f) for one surface across a frequency list,
-// checking the context between frequencies (and inside every solve), so
-// a cancelled context stops the sweep promptly with ctx.Err().
-func (s *Solver) SweepLossFactor(ctx context.Context, surf *surface.Surface, freqs []float64) ([]float64, error) {
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k, err := s.LossFactorCtx(ctx, surf, f)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep at f=%g: %w", f, err)
-		}
-		out[i] = k
-	}
-	return out, nil
-}
-
-// FlatPabs2D is the profile (2D SWM) flat reference.
+// FlatPabs2D is the profile (2D SWM) flat reference, cached and
+// single-flighted per frequency like FlatPabsCtx.
 func (s *Solver) FlatPabs2D(f float64) (float64, error) {
-	s.mu.Lock()
-	if v, ok := s.flatPabs[flatKey{f, true}]; ok {
-		s.mu.Unlock()
-		return v, nil
-	}
-	s.mu.Unlock()
-	sol, err := mom.Assemble2D(surface.NewFlatProfile(s.L, s.M), s.Mat.Params(f), s.Opt).Solve()
-	if err != nil {
-		return 0, fmt.Errorf("core: 2D flat reference at f=%g: %w", f, err)
-	}
-	s.mu.Lock()
-	s.flatPabs[flatKey{f, true}] = sol.Pabs
-	s.mu.Unlock()
-	return sol.Pabs, nil
+	s.caches()
+	v, _, err := s.flat.GetOrCompute(context.Background(), flatKey{f, true}, func(context.Context) (float64, error) {
+		sol, err := mom.Assemble2D(surface.NewFlatProfile(s.L, s.M), s.Mat.Params(f), s.Opt).Solve()
+		if err != nil {
+			return 0, fmt.Errorf("core: 2D flat reference at f=%g: %w", f, err)
+		}
+		return sol.Pabs, nil
+	})
+	return v, err
 }
 
 // LossFactor2D returns K for a 1-D profile (surface uniform along y)

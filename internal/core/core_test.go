@@ -72,11 +72,19 @@ func TestSweepCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	freqs := []float64{1 * units.GHz, 2 * units.GHz, 3 * units.GHz}
+	sweep := func(ctx context.Context) error {
+		for _, f := range freqs {
+			if _, err := s.LossFactorCtx(ctx, surface.NewFlat(5*um, 8), f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	// A pre-cancelled context stops the sweep before any solve.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := s.SweepLossFactor(ctx, surface.NewFlat(5*um, 8), freqs); !errors.Is(err, context.Canceled) {
+	if err := sweep(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
 	if time.Since(start) > 5*time.Second {
@@ -85,7 +93,7 @@ func TestSweepCancelled(t *testing.T) {
 	// An expired deadline is reported as DeadlineExceeded.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := s.SweepLossFactor(dctx, surface.NewFlat(5*um, 8), freqs); !errors.Is(err, context.DeadlineExceeded) {
+	if err := sweep(dctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected context.DeadlineExceeded, got %v", err)
 	}
 }
@@ -205,7 +213,7 @@ func TestFlatPabsCachedAndConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := s.FlatPabs(f)
+			v, err := s.FlatPabsCtx(context.Background(), f)
 			if err != nil {
 				t.Error(err)
 				return
@@ -237,6 +245,46 @@ func TestLossFactor2DFlatIsUnity(t *testing.T) {
 	}
 	if math.Abs(k-1) > 1e-9 {
 		t.Fatalf("flat profile K = %g, want exactly 1 (same solve)", k)
+	}
+}
+
+// TestFlatPabs2DSingleFlight: N concurrent callers at a new frequency
+// share one 2D flat solve, like the 3D reference.
+func TestFlatPabs2DSingleFlight(t *testing.T) {
+	s, err := NewSolver(PaperMaterial(), 5*um, 24, mom.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := telemetry.NewRegistry()
+	s.Metrics = m
+	const callers = 8
+	start := make(chan struct{})
+	vals := make([]float64, callers)
+	var wg sync.WaitGroup
+	for i := range vals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			v, err := s.FlatPabs2D(5 * units.GHz)
+			if err != nil {
+				t.Error(err)
+			}
+			vals[i] = v
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if got := m.Counter("core.flat_solves").Value(); got != 1 {
+		t.Fatalf("2D flat solves = %d, want 1", got)
+	}
+	if got := m.Counter("core.flat_hits").Value() + m.Counter("core.flat_shared").Value(); got != callers-1 {
+		t.Fatalf("hits+shared = %d, want %d", got, callers-1)
+	}
+	for _, v := range vals[1:] {
+		if v != vals[0] {
+			t.Fatal("concurrent FlatPabs2D returned different values")
+		}
 	}
 }
 

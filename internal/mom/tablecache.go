@@ -1,12 +1,11 @@
 package mom
 
 import (
-	"container/list"
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"roughsim/internal/rescache"
 	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
 )
@@ -24,36 +23,20 @@ type TableKey struct {
 	Sub   int
 }
 
-// TableCache is a bounded, concurrency-safe cache of Green's-function
-// table sets, shared across sweep frequencies, solvers and (in
-// roughsimd) jobs. Concurrent requests for the same key are
-// single-flighted: one caller builds (outside the cache lock, so builds
-// for distinct frequencies proceed in parallel), the rest wait and
-// share the result. Eviction is LRU by table count.
+// TableCache is the rescache instance of Green's-function table sets,
+// shared across sweep frequencies, solvers and (in roughsimd) jobs:
+// bounded LRU by table count, with single-flight builds that run
+// outside the cache lock, so builds for distinct frequencies proceed in
+// parallel.
 //
-// Telemetry (tables.hits / tables.misses / tables.shared /
-// tables.built / tables.evictions counters, tables.build_seconds
-// histogram, tables.entries gauge) goes to the registry set via
-// SetMetrics; a nil registry disables instrumentation.
+// Telemetry goes to the registry given at construction (nil disables
+// it): tables.hits / tables.misses / tables.shared / tables.built /
+// tables.evictions counters, tables.build_seconds histogram,
+// tables.entries gauge.
 type TableCache struct {
-	capacity int
-	metrics  atomic.Pointer[telemetry.Registry]
-	builds   atomic.Int64
-
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[TableKey]*list.Element
-	calls map[TableKey]*tableCall
-}
-
-type tableEntry struct {
-	key TableKey
-	ts  *TableSet
-}
-
-type tableCall struct {
-	done chan struct{}
-	ts   *TableSet
+	c       *rescache.Cache[TableKey, *TableSet]
+	metrics *telemetry.Registry
+	builds  atomic.Int64
 }
 
 // DefaultTableCacheCap bounds a cache built with capacity ≤ 0. Table
@@ -67,104 +50,50 @@ func NewTableCache(capacity int, m *telemetry.Registry) *TableCache {
 	if capacity <= 0 {
 		capacity = DefaultTableCacheCap
 	}
-	c := &TableCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    map[TableKey]*list.Element{},
-		calls:    map[TableKey]*tableCall{},
-	}
-	c.SetMetrics(m)
-	return c
-}
-
-// SetMetrics points the cache's instrumentation at r (nil disables it).
-// Safe to call concurrently with Get.
-func (c *TableCache) SetMetrics(r *telemetry.Registry) {
-	if r != nil {
-		c.metrics.Store(r)
+	return &TableCache{
+		c: rescache.MustNew[TableKey](capacity, rescache.Options[*TableSet]{Counters: &rescache.Counters{
+			Hits:      m.Counter("tables.hits"),
+			Misses:    m.Counter("tables.misses"),
+			Shared:    m.Counter("tables.shared"),
+			Evictions: m.Counter("tables.evictions"),
+			Entries:   m.Gauge("tables.entries"),
+		}}),
+		metrics: m,
 	}
 }
-
-func (c *TableCache) reg() *telemetry.Registry { return c.metrics.Load() }
 
 // Len returns the number of cached table sets.
-func (c *TableCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *TableCache) Len() int { return c.c.Len() }
 
 // Builds returns how many table sets this cache has constructed — the
 // quantity the dedup tests assert on (one build per distinct key, no
 // matter how many concurrent callers).
 func (c *TableCache) Builds() int64 { return c.builds.Load() }
 
-// Get returns the table set for the given assembly inputs, building it
-// at most once across all concurrent callers. Waiters block until the
-// builder finishes (NewTableSet is not cancellable; the wait is bounded
-// by one build).
+// Get is GetCtx without a context; it cannot fail.
 func (c *TableCache) Get(p Params, L float64, M int, zspan float64, opt Options) *TableSet {
-	return c.GetCtx(context.Background(), p, L, M, zspan, opt)
-}
-
-// GetCtx is Get with trace propagation: a build forced by a cache miss
-// runs under a "tables.build" span of the context's trace (hits and
-// shared waits add no span — they are lock-bounded).
-func (c *TableCache) GetCtx(ctx context.Context, p Params, L float64, M int, zspan float64, opt Options) *TableSet {
-	opt = opt.withDefaults()
-	key := TableKey{P: p, L: L, M: M, ZSpan: zspan, Near: opt.NearRadius, Sub: opt.NearSubdiv}
-
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		ts := el.Value.(*tableEntry).ts
-		c.mu.Unlock()
-		c.reg().Counter("tables.hits").Inc()
-		return ts
-	}
-	if cl, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		c.reg().Counter("tables.shared").Inc()
-		<-cl.done
-		return cl.ts
-	}
-	cl := &tableCall{done: make(chan struct{})}
-	c.calls[key] = cl
-	c.mu.Unlock()
-	c.reg().Counter("tables.misses").Inc()
-
-	_, sp := trace.StartSpan(ctx, "tables.build")
-	sp.SetAttr("grid", M)
-	start := time.Now()
-	ts := NewTableSet(p, L, M, zspan, opt)
-	sp.End()
-	c.builds.Add(1)
-	c.reg().Counter("tables.built").Inc()
-	c.reg().Histogram("tables.build_seconds").Observe(time.Since(start).Seconds())
-
-	c.mu.Lock()
-	delete(c.calls, key)
-	c.insertLocked(key, ts)
-	c.mu.Unlock()
-	cl.ts = ts
-	close(cl.done)
+	ts, _ := c.GetCtx(context.Background(), p, L, M, zspan, opt)
 	return ts
 }
 
-// insertLocked adds the table to the LRU, evicting past capacity.
-// Caller holds c.mu.
-func (c *TableCache) insertLocked(key TableKey, ts *TableSet) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*tableEntry).ts = ts
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&tableEntry{key: key, ts: ts})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*tableEntry).key)
-		c.reg().Counter("tables.evictions").Inc()
-	}
-	c.reg().Gauge("tables.entries").Set(float64(c.ll.Len()))
+// GetCtx returns the table set for the given assembly inputs, building
+// it at most once across all concurrent callers. A build forced by a
+// miss runs under a "tables.build" span of the context's trace (hits
+// and shared waits add no span). The build itself is not cancellable;
+// a waiter whose ctx ends stops waiting with the ctx error.
+func (c *TableCache) GetCtx(ctx context.Context, p Params, L float64, M int, zspan float64, opt Options) (*TableSet, error) {
+	opt = opt.withDefaults()
+	key := TableKey{P: p, L: L, M: M, ZSpan: zspan, Near: opt.NearRadius, Sub: opt.NearSubdiv}
+	ts, _, err := c.c.GetOrCompute(ctx, key, func(ctx context.Context) (*TableSet, error) {
+		_, sp := trace.StartSpan(ctx, "tables.build")
+		sp.SetAttr("grid", M)
+		start := time.Now()
+		ts := NewTableSet(p, L, M, zspan, opt)
+		sp.End()
+		c.builds.Add(1)
+		c.metrics.Counter("tables.built").Inc()
+		c.metrics.Histogram("tables.build_seconds").Observe(time.Since(start).Seconds())
+		return ts, nil
+	})
+	return ts, err
 }

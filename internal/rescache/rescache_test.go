@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,10 +15,10 @@ import (
 	"roughsim/internal/telemetry"
 )
 
-func jsonCodec() Codec {
-	return Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
+func jsonCodec() Codec[float64] {
+	return Codec[float64]{
+		Encode: func(v float64) ([]byte, error) { return json.Marshal(v) },
+		Decode: func(b []byte) (float64, error) {
 			var v float64
 			err := json.Unmarshal(b, &v)
 			return v, err
@@ -60,12 +61,12 @@ func TestCanonicalFloatEncoding(t *testing.T) {
 
 func TestMemoryTierHitAndLRUEviction(t *testing.T) {
 	m := telemetry.NewRegistry()
-	c, err := New(2, Options{Metrics: m})
+	c, err := New[Key, float64](2, Options[float64]{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compute := func(v float64) func(context.Context) (any, error) {
-		return func(context.Context) (any, error) { return v, nil }
+	compute := func(v float64) func(context.Context) (float64, error) {
+		return func(context.Context) (float64, error) { return v, nil }
 	}
 	ctx := context.Background()
 	for i, k := range []Key{keyOf(1), keyOf(2), keyOf(1)} {
@@ -74,7 +75,7 @@ func TestMemoryTierHitAndLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 2 {
-			if !cached || v.(float64) != 0 {
+			if !cached || v != 0 {
 				t.Fatalf("expected memory hit of first value, got cached=%v v=%v", cached, v)
 			}
 		} else if cached {
@@ -98,13 +99,13 @@ func TestMemoryTierHitAndLRUEviction(t *testing.T) {
 
 func TestSingleFlightSharesOneComputation(t *testing.T) {
 	m := telemetry.NewRegistry()
-	c, err := New(8, Options{Metrics: m})
+	c, err := New[Key, float64](8, Options[float64]{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var computes atomic.Int64
 	release := make(chan struct{})
-	compute := func(context.Context) (any, error) {
+	compute := func(context.Context) (float64, error) {
 		computes.Add(1)
 		<-release
 		return 42.0, nil
@@ -121,7 +122,7 @@ func TestSingleFlightSharesOneComputation(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			vals[i] = v.(float64)
+			vals[i] = v
 		}(i)
 	}
 	// Let every goroutine reach the cache before releasing the compute.
@@ -143,24 +144,24 @@ func TestSingleFlightSharesOneComputation(t *testing.T) {
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
-	c, err := New(4, Options{})
+	c, err := New[Key, float64](4, Options[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err = c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
+	_, _, err = c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (float64, error) {
 		calls++
-		return nil, boom
+		return 0, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, cached, err := c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
+	v, cached, err := c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (float64, error) {
 		calls++
 		return 5.0, nil
 	})
-	if err != nil || cached || v.(float64) != 5 {
+	if err != nil || cached || v != 5 {
 		t.Fatalf("retry: v=%v cached=%v err=%v", v, cached, err)
 	}
 	if calls != 2 {
@@ -171,8 +172,8 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestDiskTierRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewRegistry()
-	mk := func() *Cache {
-		c, err := New(4, Options{Dir: dir, Codec: jsonCodec(), Metrics: m})
+	mk := func() *Cache[Key, float64] {
+		c, err := New[Key, float64](4, Options[float64]{Dir: dir, Codec: jsonCodec(), Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,16 +181,16 @@ func TestDiskTierRoundTripAndCorruption(t *testing.T) {
 	}
 	key := keyOf(1.25, 9e9)
 	ctx := context.Background()
-	if _, _, err := mk().GetOrCompute(ctx, key, func(context.Context) (any, error) { return 2.5, nil }); err != nil {
+	if _, _, err := mk().GetOrCompute(ctx, key, func(context.Context) (float64, error) { return 2.5, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh cache (fresh memory tier) must hit the disk tier, not
 	// recompute.
-	v, cached, err := mk().GetOrCompute(ctx, key, func(context.Context) (any, error) {
+	v, cached, err := mk().GetOrCompute(ctx, key, func(context.Context) (float64, error) {
 		t.Fatal("must not recompute")
-		return nil, nil
+		return 0, nil
 	})
-	if err != nil || !cached || v.(float64) != 2.5 {
+	if err != nil || !cached || v != 2.5 {
 		t.Fatalf("disk hit: v=%v cached=%v err=%v", v, cached, err)
 	}
 	if m.Counter("cache.disk_hits").Value() != 1 {
@@ -199,8 +200,8 @@ func TestDiskTierRoundTripAndCorruption(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, key.String()+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err = mk().GetOrCompute(ctx, key, func(context.Context) (any, error) { return 7.5, nil })
-	if err != nil || v.(float64) != 7.5 {
+	v, _, err = mk().GetOrCompute(ctx, key, func(context.Context) (float64, error) { return 7.5, nil })
+	if err != nil || v != 7.5 {
 		t.Fatalf("corrupt recompute: v=%v err=%v", v, err)
 	}
 	if m.Counter("cache.disk_errors").Value() == 0 {
@@ -215,8 +216,8 @@ func TestDiskTierRoundTripAndCorruption(t *testing.T) {
 func TestTruncatedDiskEntryIsMissNotError(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewRegistry()
-	mk := func() *Cache {
-		c, err := New(4, Options{Dir: dir, Codec: jsonCodec(), Metrics: m})
+	mk := func() *Cache[Key, float64] {
+		c, err := New[Key, float64](4, Options[float64]{Dir: dir, Codec: jsonCodec(), Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,14 +287,14 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 func TestWaiterContextCancellation(t *testing.T) {
-	c, err := New(4, Options{})
+	c, err := New[Key, float64](4, Options[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (any, error) {
+	go c.GetOrCompute(context.Background(), keyOf(1), func(context.Context) (float64, error) {
 		close(started)
 		<-release
 		return 1.0, nil
@@ -301,17 +302,17 @@ func TestWaiterContextCancellation(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = c.GetOrCompute(ctx, keyOf(1), func(context.Context) (any, error) { return 2.0, nil })
+	_, _, err = c.GetOrCompute(ctx, keyOf(1), func(context.Context) (float64, error) { return 2.0, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, Options{}); err == nil {
+	if _, err := New[Key, float64](0, Options[float64]{}); err == nil {
 		t.Fatal("capacity 0 must be rejected")
 	}
-	if _, err := New(1, Options{Dir: t.TempDir()}); err == nil {
+	if _, err := New[Key, float64](1, Options[float64]{Dir: t.TempDir()}); err == nil {
 		t.Fatal("disk tier without codec must be rejected")
 	}
 }
@@ -323,7 +324,7 @@ func TestNewValidation(t *testing.T) {
 func TestCorruptDiskEntryIsQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewRegistry()
-	c, err := New(4, Options{Dir: dir, Codec: jsonCodec(), Metrics: m})
+	c, err := New[Key, float64](4, Options[float64]{Dir: dir, Codec: jsonCodec(), Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,11 +349,11 @@ func TestCorruptDiskEntryIsQuarantined(t *testing.T) {
 	// Not fatal: the slot heals through the normal write path, and the
 	// healed entry is served while the quarantined bytes stay put.
 	c.Put(key, 9.5)
-	fresh, err := New(4, Options{Dir: dir, Codec: jsonCodec(), Metrics: m})
+	fresh, err := New[Key, float64](4, Options[float64]{Dir: dir, Codec: jsonCodec(), Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := fresh.Get(key); !ok || v.(float64) != 9.5 {
+	if v, ok := fresh.Get(key); !ok || v != 9.5 {
 		t.Fatalf("healed entry: v=%v ok=%v", v, ok)
 	}
 	if _, err := os.Stat(path + ".quarantine"); err != nil {
@@ -365,5 +366,97 @@ func TestCorruptDiskEntryIsQuarantined(t *testing.T) {
 	}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("Delete left the memory entry")
+	}
+}
+
+// TestGroupSharesWithoutStoring: Do single-flights concurrent callers
+// onto one computation and keeps nothing, so the next call recomputes.
+func TestGroupSharesWithoutStoring(t *testing.T) {
+	m := telemetry.NewRegistry()
+	g := Group[Key, float64]{Shared: m.Counter("flights.shared")}
+	var computes atomic.Int64
+	release := make(chan struct{})
+	fn := func(context.Context) (float64, error) {
+		computes.Add(1)
+		<-release
+		return 4.5, nil
+	}
+	const callers = 6
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, err := g.Do(context.Background(), keyOf(1), fn); err != nil || v != 4.5 {
+				t.Errorf("Do = %v, %v", v, err)
+			}
+		}()
+	}
+	for m.Counter("flights.shared").Value() < callers-1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("computations = %d, want 1", n)
+	}
+	if _, err := g.Do(context.Background(), keyOf(1), fn); err != nil {
+		t.Fatal(err)
+	}
+	if n := computes.Load(); n != 2 {
+		t.Fatalf("computations after the flight = %d, want 2 (results are not kept)", n)
+	}
+}
+
+// TestDiskTierCodecHooks: the disk tier needs Key keys; a nil Encode
+// keeps a value memory-only; a Match failure quarantines the entry;
+// Suffix names the files.
+func TestDiskTierCodecHooks(t *testing.T) {
+	if _, err := New[string, float64](1, Options[float64]{Dir: t.TempDir(), Codec: JSONCodec[float64]()}); err == nil {
+		t.Fatal("disk tier with non-Key keys must be rejected")
+	}
+	dir := t.TempDir()
+	codec := JSONCodec[float64]()
+	encode := codec.Encode
+	codec.Encode = func(v float64) ([]byte, error) {
+		if v < 0 {
+			return nil, nil
+		}
+		return encode(v)
+	}
+	codec.Match = func(_ Key, v float64) bool { return v != 13 }
+	m := telemetry.NewRegistry()
+	c, err := New[Key, float64](4, Options[float64]{Dir: dir, Suffix: ".f64.json", Codec: codec, Metrics: m, Prefix: "hooks"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(keyOf(1), -1)
+	c.Put(keyOf(2), 2)
+	c.Put(keyOf(3), 13)
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 2 {
+		t.Fatalf("disk entries = %v, %v; want the two non-negative values", ents, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, keyOf(2).String()+".f64.json")); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New[Key, float64](4, Options[float64]{Dir: dir, Suffix: ".f64.json", Codec: codec, Metrics: m, Prefix: "hooks"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := fresh.Get(keyOf(2)); !ok || v != 2 {
+		t.Fatalf("reload = %v, %v", v, ok)
+	}
+	if _, ok := fresh.Get(keyOf(1)); ok {
+		t.Fatal("memory-only value reloaded from disk")
+	}
+	if _, ok := fresh.Get(keyOf(3)); ok {
+		t.Fatal("Match-rejected entry served")
+	}
+	if got := m.Counter("hooks.quarantined").Value(); got != 1 {
+		t.Fatalf("hooks.quarantined = %d, want 1", got)
+	}
+	if !fresh.Delete(keyOf(2)) || fresh.Delete(keyOf(2)) {
+		t.Fatal("Delete must report removal exactly once")
 	}
 }

@@ -48,11 +48,11 @@ func (r cellRunner) Submit(cfg roughsim.SweepConfig) (campaign.Handle, error) {
 func (r cellRunner) Cached(cfg roughsim.SweepConfig) (*roughsim.SweepResult, bool) {
 	pts := make([]roughsim.SweepPoint, len(cfg.Freqs))
 	for i, f := range cfg.Freqs {
-		v, ok := r.s.cache.Get(cfg.KeyAt(f))
+		pt, ok := r.s.cache.Get(cfg.KeyAt(f))
 		if !ok {
 			return nil, false
 		}
-		pts[i] = v.(roughsim.SweepPoint)
+		pts[i] = pt
 	}
 	return &roughsim.SweepResult{Config: cfg, Points: pts}, true
 }

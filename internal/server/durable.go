@@ -11,7 +11,6 @@ import (
 	"roughsim"
 	"roughsim/internal/jobs"
 	"roughsim/internal/journal"
-	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
 	"roughsim/internal/sscm"
 	"roughsim/internal/sweepengine"
@@ -29,22 +28,6 @@ import (
 //   - a queue-pressure admission gate and an outcome-driven circuit
 //     breaker shed exact-solve load with 429/503 + Retry-After while
 //     the surrogate/cache fast path keeps serving.
-
-// colCodec (de)serializes checkpoint columns ([]float64) for the
-// checkpoint cache's disk tier. encoding/json prints float64s in their
-// shortest round-trip form, so persisted columns reload bit-exactly.
-func colCodec() rescache.Codec {
-	return rescache.Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
-			var col []float64
-			if err := json.Unmarshal(b, &col); err != nil {
-				return nil, err
-			}
-			return col, nil
-		},
-	}
-}
 
 // retryBackoff is the between-attempt schedule of transiently failed
 // jobs (see Config.MaxAttempts).
@@ -248,12 +231,7 @@ func (s *Server) checkpointStore(jobID string, cfg roughsim.SweepConfig) sweepen
 }
 
 func (c *ckptStore) Load(node int) ([]float64, bool) {
-	v, ok := c.s.ckpts.Get(c.cfg.CheckpointKey(node))
-	if !ok {
-		return nil, false
-	}
-	col, ok := v.([]float64)
-	return col, ok
+	return c.s.ckpts.Get(c.cfg.CheckpointKey(node))
 }
 
 func (c *ckptStore) Save(node int, col []float64) {

@@ -68,6 +68,7 @@ import (
 	"roughsim/internal/journal"
 	"roughsim/internal/rescache"
 	"roughsim/internal/resilience"
+	"roughsim/internal/sparams"
 	"roughsim/internal/surrogate"
 	"roughsim/internal/telemetry"
 	"roughsim/internal/trace"
@@ -81,10 +82,6 @@ type Config struct {
 	JobTimeout time.Duration // per-job deadline (default none)
 	CacheSize  int           // memory-tier entries (default 4096)
 	CacheDir   string        // disk tier directory ("" disables)
-	// TableCacheSize bounds the shared Green's-function table cache
-	// (table sets across all jobs and configs; default a service-sized
-	// cap — see roughsim.NewTableCache).
-	TableCacheSize int
 	// SurrogateCap bounds the memory tier of the surrogate registry
 	// (admission records; default 64).
 	SurrogateCap int
@@ -195,7 +192,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	queue   *jobs.Queue
-	cache   *rescache.Cache
+	cache   *rescache.Cache[rescache.Key, roughsim.SweepPoint]
 	metrics *telemetry.Registry
 	tracer  *trace.Recorder
 	log     *slog.Logger
@@ -213,17 +210,14 @@ type Server struct {
 	tables *roughsim.TableCache
 
 	// sims memoizes constructed simulations (KL modes are expensive)
-	// keyed by the frequency-independent part of the config. Bounded by
-	// simCacheCap with whole-map reset — solver configs are few in
-	// practice.
-	simMu sync.Mutex
-	sims  map[rescache.Key]*roughsim.Simulation
+	// keyed by the frequency-independent part of the config; distinct
+	// configs build concurrently.
+	sims *rescache.Cache[rescache.Key, *roughsim.Simulation]
 
 	// flights single-flight identical concurrent sweep jobs (keyed by
 	// the whole-sweep content address): one job computes, the rest wait
-	// and share the result.
-	flightMu sync.Mutex
-	flights  map[rescache.Key]*sweepFlight
+	// and share the result, which is not kept.
+	flights rescache.Group[rescache.Key, *roughsim.SweepResult]
 
 	// journal is the write-ahead job journal (nil when disabled); see
 	// durable.go for the submit/replay protocol.
@@ -233,7 +227,7 @@ type Server struct {
 	// deliberately a separate cache from the result cache: its disk tier
 	// stores []float64 columns under its own codec, so a column can
 	// never be misdecoded as a SweepPoint (or quarantined as one).
-	ckpts *rescache.Cache
+	ckpts *rescache.Cache[rescache.Key, []float64]
 
 	// ckptCfgs remembers, per job, the residual sweep config whose
 	// checkpoint keys the job may have written, so the terminal observer
@@ -273,34 +267,26 @@ type Server struct {
 	// generation jobs both ways (address → job for request coalescing,
 	// job → address for terminal cleanup); sparSeq orders artifact
 	// persists server-wide (the sparams.artifact chaos occurrence key).
-	sparArts     *rescache.Cache
+	sparArts     *rescache.Cache[rescache.Key, *sparams.Artifact]
 	sparMu       sync.Mutex
 	sparInFlight map[rescache.Key]string
 	sparJobs     map[string]rescache.Key
 	sparSeq      atomic.Uint64
 }
 
-// sweepFlight is one in-flight sweep computation.
-type sweepFlight struct {
-	done chan struct{}
-	res  *roughsim.SweepResult
-	err  error
-}
-
+// simCacheCap bounds the memoized simulations; solver configs are few
+// in practice.
 const simCacheCap = 32
 
-// pointCodec (de)serializes SweepPoints for the cache's disk tier.
-func pointCodec() rescache.Codec {
-	return rescache.Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
-			var p roughsim.SweepPoint
-			if err := json.Unmarshal(b, &p); err != nil {
-				return nil, err
-			}
-			return p, nil
-		},
+// store builds one of the content-addressed stores: memory always,
+// JSON files under CacheDir/sub when CacheDir is set, telemetry under
+// prefix.
+func store[V any](cfg Config, sub, prefix string) *rescache.Cache[rescache.Key, V] {
+	opt := rescache.Options[V]{Codec: rescache.JSONCodec[V](), Metrics: cfg.Metrics, Prefix: prefix}
+	if cfg.CacheDir != "" {
+		opt.Dir = filepath.Join(cfg.CacheDir, sub)
 	}
+	return rescache.MustNew[rescache.Key](cfg.CacheSize, opt)
 }
 
 // New builds the server (starting its worker pool).
@@ -313,60 +299,29 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cacheOpt := rescache.Options{Metrics: cfg.Metrics}
-	if cfg.CacheDir != "" {
-		cacheOpt.Dir = cfg.CacheDir
-		cacheOpt.Codec = pointCodec()
-	}
-	cache, err := rescache.New(cfg.CacheSize, cacheOpt)
-	if err != nil {
-		queue.Drain(context.Background())
-		return nil, err
-	}
-	// The checkpoint cache always exists (in-process retries resume from
-	// it); the disk tier — what crash recovery needs — rides along with
-	// the result cache's CacheDir.
-	ckptOpt := rescache.Options{Metrics: cfg.Metrics}
-	if cfg.CacheDir != "" {
-		ckptOpt.Dir = filepath.Join(cfg.CacheDir, "checkpoints")
-		ckptOpt.Codec = colCodec()
-	}
-	ckpts, err := rescache.New(cfg.CacheSize, ckptOpt)
-	if err != nil {
-		queue.Drain(context.Background())
-		return nil, err
-	}
-	// The artifact store follows the same tiering as results: memory
-	// always, disk under CacheDir/sparams so admitted artifacts survive
-	// restarts (and crash replays find pre-crash artifacts).
-	sparOpt := rescache.Options{Metrics: cfg.Metrics}
-	if cfg.CacheDir != "" {
-		sparOpt.Dir = filepath.Join(cfg.CacheDir, "sparams")
-		sparOpt.Codec = artifactCodec()
-	}
-	sparArts, err := rescache.New(cfg.CacheSize, sparOpt)
-	if err != nil {
-		queue.Drain(context.Background())
-		return nil, err
-	}
 	s := &Server{
-		cfg:          cfg,
-		queue:        queue,
-		cache:        cache,
-		metrics:      cfg.Metrics,
-		tracer:       trace.NewRecorder(cfg.TraceCapacity),
-		log:          cfg.Log,
-		mux:          http.NewServeMux(),
-		tables:       roughsim.NewTableCache(cfg.TableCacheSize, cfg.Metrics),
-		surrogates:   surrogate.NewRegistry(cfg.SurrogateCap, cfg.SurrogateDir, cfg.Metrics),
-		sims:         map[rescache.Key]*roughsim.Simulation{},
-		flights:      map[rescache.Key]*sweepFlight{},
-		ckpts:        ckpts,
+		cfg:        cfg,
+		queue:      queue,
+		cache:      store[roughsim.SweepPoint](cfg, "", "cache"),
+		metrics:    cfg.Metrics,
+		tracer:     trace.NewRecorder(cfg.TraceCapacity),
+		log:        cfg.Log,
+		mux:        http.NewServeMux(),
+		tables:     roughsim.NewTableCache(0, cfg.Metrics),
+		surrogates: surrogate.NewRegistry(cfg.SurrogateCap, cfg.SurrogateDir, cfg.Metrics),
+		sims:       rescache.MustNew[rescache.Key](simCacheCap, rescache.Options[*roughsim.Simulation]{}),
+		flights:    rescache.Group[rescache.Key, *roughsim.SweepResult]{Shared: cfg.Metrics.Counter("cache.singleflight_shared")},
+		// The checkpoint store always exists (in-process retries resume
+		// from it); its disk tier — what crash recovery needs — rides
+		// along with CacheDir. Artifacts follow the same tiering, so
+		// admitted artifacts survive restarts (and crash replays find
+		// pre-crash artifacts).
+		ckpts:        store[[]float64](cfg, "checkpoints", "checkpoints"),
 		ckptCfgs:     map[string]roughsim.SweepConfig{},
 		brk:          newBreaker(cfg.Breaker, cfg.Metrics),
 		chaos:        cfg.Chaos,
 		unjournaled:  map[string]struct{}{},
-		sparArts:     sparArts,
+		sparArts:     store[*sparams.Artifact](cfg, "sparams", "artifacts"),
 		sparInFlight: map[rescache.Key]string{},
 		sparJobs:     map[string]rescache.Key{},
 	}
@@ -542,26 +497,18 @@ func (s *Server) status(j *jobs.Job) statusPayload {
 
 // simFor returns (building on first use) the Simulation for the
 // frequency-independent part of cfg.
-func (s *Server) simFor(cfg roughsim.SweepConfig) (*roughsim.Simulation, error) {
+func (s *Server) simFor(ctx context.Context, cfg roughsim.SweepConfig) (*roughsim.Simulation, error) {
 	// Key the sim cache by the config at a fixed pseudo-frequency: KeyAt
 	// already canonicalizes exactly the frequency-independent fields
 	// plus f, so a constant f keys the solver config alone.
-	key := cfg.KeyAt(1)
-	s.simMu.Lock()
-	defer s.simMu.Unlock()
-	if sim, ok := s.sims[key]; ok {
-		return sim, nil
-	}
-	sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
-	if err != nil {
-		return nil, err
-	}
-	sim.WithMetrics(s.metrics).WithTableCache(s.tables)
-	if len(s.sims) >= simCacheCap {
-		s.sims = map[rescache.Key]*roughsim.Simulation{}
-	}
-	s.sims[key] = sim
-	return sim, nil
+	sim, _, err := s.sims.GetOrCompute(ctx, cfg.KeyAt(1), func(context.Context) (*roughsim.Simulation, error) {
+		sim, err := roughsim.NewSimulation(cfg.Stack, cfg.Spec, cfg.Acc)
+		if err != nil {
+			return nil, err
+		}
+		return sim.WithMetrics(s.metrics).WithTableCache(s.tables), nil
+	})
+	return sim, err
 }
 
 // runSweep is the job body: the whole sweep executes as one planned
@@ -576,35 +523,14 @@ func (s *Server) runSweep(cfg roughsim.SweepConfig) jobs.Runner {
 		s.journalStarted(meta, hasMeta)
 		total := len(cfg.Freqs)
 		progress(0, total)
-		key := cfg.Key()
-		s.flightMu.Lock()
-		if fl, ok := s.flights[key]; ok {
-			s.flightMu.Unlock()
-			s.metrics.Counter("cache.singleflight_shared").Inc()
-			select {
-			case <-fl.done:
-				if fl.err != nil {
-					return nil, fl.err
-				}
-				progress(total, total)
-				return fl.res, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+		res, err := s.flights.Do(ctx, cfg.Key(), func(ctx context.Context) (*roughsim.SweepResult, error) {
+			return s.computeSweep(ctx, cfg, progress)
+		})
+		if err != nil {
+			return nil, err
 		}
-		fl := &sweepFlight{done: make(chan struct{})}
-		s.flights[key] = fl
-		s.flightMu.Unlock()
-
-		fl.res, fl.err = s.computeSweep(ctx, cfg, progress)
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(fl.done)
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		return fl.res, nil
+		progress(total, total)
+		return res, nil
 	}
 }
 
@@ -616,8 +542,8 @@ func (s *Server) computeSweep(ctx context.Context, cfg roughsim.SweepConfig, pro
 	points := make([]roughsim.SweepPoint, total)
 	missing := make([]int, 0, total)
 	for i, f := range cfg.Freqs {
-		if v, ok := s.cache.Get(cfg.KeyAt(f)); ok {
-			points[i] = v.(roughsim.SweepPoint)
+		if pt, ok := s.cache.Get(cfg.KeyAt(f)); ok {
+			points[i] = pt
 		} else {
 			missing = append(missing, i)
 		}
@@ -625,7 +551,7 @@ func (s *Server) computeSweep(ctx context.Context, cfg roughsim.SweepConfig, pro
 	cached := total - len(missing)
 	progress(cached, total)
 	if len(missing) > 0 {
-		sim, err := s.simFor(cfg)
+		sim, err := s.simFor(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}

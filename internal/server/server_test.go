@@ -227,6 +227,35 @@ func TestEndToEndSingleFlightCacheAndDrain(t *testing.T) {
 	}
 }
 
+// TestCacheSeriesMeanResultCache: the checkpoint and artifact stores
+// publish under their own prefixes, so after one completed 3-point
+// sweep (whose checkpoints are probed, saved and purged) the cache.*
+// series describe the result cache alone.
+func TestCacheSeriesMeanResultCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver run")
+	}
+	ts := startServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 64})
+	ts.submitAndWait(t, tinyConfig(4e9, 5e9, 6e9))
+	// The drain waits for the terminal observer, which purges the
+	// job's checkpoints.
+	ts.shutdown(t)
+
+	snap := ts.metrics.Snapshot()
+	if got := snap.Gauges["cache.entries"]; got != 3 {
+		t.Fatalf("cache.entries = %g, want 3", got)
+	}
+	if got := snap.Counters["cache.misses"]; got != 3 {
+		t.Fatalf("cache.misses = %d, want 3 (one probe per point)", got)
+	}
+	if snap.Counters["checkpoints.misses"] == 0 {
+		t.Fatal("checkpoint probes missing from checkpoints.misses")
+	}
+	if got := snap.Gauges["checkpoints.entries"]; got != 0 {
+		t.Fatalf("checkpoints.entries = %g, want 0 after the purge", got)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	ts := startServer(t, Config{})
 	defer ts.shutdown(t)

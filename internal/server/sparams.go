@@ -44,22 +44,6 @@ type sparamsAcceptedPayload struct {
 	Job any    `json:"job"`
 }
 
-// artifactCodec (de)serializes sparams.Artifacts for the store's disk
-// tier. Config is a json.RawMessage, so the echoed request survives the
-// round trip verbatim.
-func artifactCodec() rescache.Codec {
-	return rescache.Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
-			var a sparams.Artifact
-			if err := json.Unmarshal(b, &a); err != nil {
-				return nil, err
-			}
-			return &a, nil
-		},
-	}
-}
-
 func (s *Server) sparamsRequestCounter(outcome string) *telemetry.Counter {
 	return s.metrics.CounterL("sparams.requests", telemetry.L("outcome", outcome))
 }
@@ -168,12 +152,7 @@ func (s *Server) artifact(key rescache.Key) (*sparams.Artifact, bool) {
 	if s.sparArts == nil {
 		return nil, false
 	}
-	v, ok := s.sparArts.Get(key)
-	if !ok {
-		return nil, false
-	}
-	art, ok := v.(*sparams.Artifact)
-	return art, ok
+	return s.sparArts.Get(key)
 }
 
 // sparFlight returns the live generation job for an address, if any.

@@ -62,8 +62,8 @@ func (s *Server) fallbackCounter(reason string) *telemetry.Counter {
 // surrogateSource adapts the memoized Simulation for cfg to
 // surrogate.Source (KL modes are built at most once per solver config,
 // shared with the sweep tier).
-func (s *Server) surrogateSource(cfg roughsim.SurrogateConfig) (surrogate.Source, error) {
-	return s.simFor(roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{cfg.FMinHz}})
+func (s *Server) surrogateSource(ctx context.Context, cfg roughsim.SurrogateConfig) (surrogate.Source, error) {
+	return s.simFor(ctx, roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{cfg.FMinHz}})
 }
 
 // handleSurrogateSubmit queues the fit → validate → admit pipeline for
@@ -96,7 +96,7 @@ func (s *Server) handleSurrogateSubmit(w http.ResponseWriter, r *http.Request) {
 		progress(0, 1)
 		// Simulation construction (KL modes) happens on the worker, not
 		// the request path.
-		src, err := s.surrogateSource(cfg)
+		src, err := s.surrogateSource(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -225,8 +225,7 @@ func (s *Server) fallbackK(w http.ResponseWriter, rec *surrogate.Record, f float
 		return
 	}
 	sweep := roughsim.SweepConfig{Stack: cfg.Stack, Spec: cfg.Spec, Acc: cfg.Acc, Freqs: []float64{f}}.WithDefaults()
-	if v, ok := s.cache.Get(sweep.KeyAt(f)); ok {
-		pt := v.(roughsim.SweepPoint)
+	if pt, ok := s.cache.Get(sweep.KeyAt(f)); ok {
 		writeJSON(w, http.StatusOK, kPayload{Key: rec.Key, FreqHz: f, KSWM: pt.KSWM, Source: "exact-cache"})
 		return
 	}

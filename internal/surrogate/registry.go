@@ -1,11 +1,8 @@
 package surrogate
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -42,37 +39,24 @@ type Record struct {
 	Spec FitSpec `json:"spec"`
 }
 
-// Registry is the content-addressed surrogate store: a bounded memory
-// LRU of admission records over an optional persistent disk tier of
-// admitted models, with single-flight builds. Safe for concurrent use.
+// Registry is the content-addressed surrogate store: a rescache
+// instance of admission records — bounded memory LRU, single-flight
+// builds, and an optional persistent disk tier that holds admitted
+// models only. Safe for concurrent use.
 type Registry struct {
-	capacity int
-	dir      string
-	metrics  *telemetry.Registry
+	dir     string // persistent tier ("" disables)
+	metrics *telemetry.Registry
+	cache   *rescache.Cache[rescache.Key, *Record]
 
-	hits, misses, shared     *telemetry.Counter
+	hits, misses             *telemetry.Counter
 	admitted, rejected       *telemetry.Counter
-	evictions, diskErrors    *telemetry.Counter
-	entries                  *telemetry.Gauge
+	evictions                *telemetry.Counter
 	buildSeconds, evalObserv *telemetry.Histogram
 
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	items  map[rescache.Key]*list.Element
-	builds map[rescache.Key]*buildFlight
-}
-
-type regEntry struct {
-	key rescache.Key
-	rec *Record
-}
-
-// buildFlight is one in-flight admission pipeline run.
-type buildFlight struct {
-	done chan struct{}
-	rec  *Record
-	err  error
-	spec FitSpec
+	// building holds the spec of every in-flight build, so lookups and
+	// List report it as StatusBuilding.
+	mu       sync.Mutex
+	building map[rescache.Key]FitSpec
 }
 
 const defaultCapacity = 64
@@ -84,20 +68,72 @@ func NewRegistry(capacity int, dir string, m *telemetry.Registry) *Registry {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
+	evictions := m.Counter("surrogate.evictions")
 	return &Registry{
-		capacity:     capacity,
-		dir:          dir,
-		metrics:      m,
+		dir:     dir,
+		metrics: m,
+		// A distinct suffix keeps surrogate models recognizable next to
+		// rescache point entries if an operator points both at one
+		// directory.
+		cache: rescache.MustNew[rescache.Key](capacity, rescache.Options[*Record]{
+			Dir:    dir,
+			Suffix: ".surrogate.json",
+			Codec:  recordCodec(),
+			Counters: &rescache.Counters{
+				Shared:     m.Counter("surrogate.builds_shared"),
+				Evictions:  evictions,
+				DiskErrors: m.Counter("surrogate.disk_errors"),
+				Entries:    m.Gauge("surrogate.entries"),
+			},
+		}),
 		hits:         m.CounterL("surrogate.requests", telemetry.L("outcome", "hit")),
 		misses:       m.CounterL("surrogate.requests", telemetry.L("outcome", "miss")),
-		shared:       m.Counter("surrogate.builds_shared"),
 		admitted:     m.CounterL("surrogate.admission", telemetry.L("outcome", "admitted")),
 		rejected:     m.CounterL("surrogate.admission", telemetry.L("outcome", "rejected")),
-		evictions:    m.Counter("surrogate.evictions"),
-		diskErrors:   m.Counter("surrogate.disk_errors"),
-		entries:      m.Gauge("surrogate.entries"),
+		evictions:    evictions,
 		buildSeconds: m.Histogram("surrogate.build_seconds"),
 		evalObserv:   m.Histogram("surrogate.eval_seconds"),
+		building:     map[rescache.Key]FitSpec{},
+	}
+}
+
+// recordCodec persists admitted models only, as the model JSON of
+// Encode/Decode. Any decode or shape failure (torn write predating the
+// fsync discipline, schema bump) or a model filed under another key is
+// a miss, never an error.
+func recordCodec() rescache.Codec[*Record] {
+	return rescache.Codec[*Record]{
+		Encode: func(rec *Record) ([]byte, error) {
+			if rec.Status != StatusAdmitted {
+				return nil, nil
+			}
+			return Encode(rec.Model)
+		},
+		Decode: func(b []byte) (*Record, error) {
+			model, err := Decode(b)
+			if err != nil {
+				return nil, err
+			}
+			key, err := rescache.ParseKey(model.Key)
+			if err != nil {
+				return nil, err
+			}
+			return &Record{
+				Key:       model.Key,
+				Status:    StatusAdmitted,
+				Model:     model,
+				MaxRelErr: model.MaxRelErr,
+				Spec: FitSpec{
+					Key:     key,
+					FMinHz:  model.FMinHz,
+					FMaxHz:  model.FMaxHz,
+					Order:   model.Order,
+					Anchors: len(model.XNodes),
+					Meta:    model.Meta,
+				},
+			}, nil
+		},
+		Match: func(key rescache.Key, rec *Record) bool { return rec.Spec.Key == key },
 	}
 }
 
@@ -106,122 +142,70 @@ func NewRegistry(capacity int, dir string, m *telemetry.Registry) *Registry {
 func (r *Registry) ObserveEval(seconds float64) { r.evalObserv.Observe(seconds) }
 
 // Len returns the number of memory-resident records.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ll == nil {
-		return 0
-	}
-	return r.ll.Len()
-}
+func (r *Registry) Len() int { return r.cache.Len() }
 
 // Get resolves key for the serve path, counting a hit only when an
 // admitted model is present (memory first, then the persistent tier);
 // anything else — absent, building, rejected, torn disk entry — counts
 // as a miss the caller must fall back from.
 func (r *Registry) Get(key rescache.Key) (*Record, bool) {
-	rec, ok := r.lookup(key, true)
+	rec, ok := r.Peek(key)
+	if ok && rec.Status == StatusAdmitted {
+		r.hits.Inc()
+	} else {
+		r.misses.Inc()
+	}
 	return rec, ok
 }
 
 // Peek is Get without touching the hit/miss accounting — the status
 // and listing endpoints use it so polling does not skew serve metrics.
 func (r *Registry) Peek(key rescache.Key) (*Record, bool) {
-	return r.lookup(key, false)
+	// The build flag is checked first: a finishing build lands its
+	// record before clearing the flag, so a key is never in neither.
+	r.mu.Lock()
+	spec, ok := r.building[key]
+	r.mu.Unlock()
+	if ok {
+		return buildingRecord(spec), true
+	}
+	return r.cache.Get(key)
 }
 
-func (r *Registry) lookup(key rescache.Key, count bool) (*Record, bool) {
-	r.mu.Lock()
-	if el, ok := r.items[key]; ok {
-		r.ll.MoveToFront(el)
-		rec := el.Value.(*regEntry).rec
-		r.mu.Unlock()
-		if count {
-			if rec.Status == StatusAdmitted {
-				r.hits.Inc()
-			} else {
-				r.misses.Inc()
-			}
-		}
-		return rec, true
-	}
-	if fl, ok := r.builds[key]; ok {
-		r.mu.Unlock()
-		if count {
-			r.misses.Inc()
-		}
-		return &Record{Key: key.String(), Status: StatusBuilding, Tol: fl.spec.Tol, Spec: fl.spec}, true
-	}
-	r.mu.Unlock()
-	if rec := r.loadDisk(key); rec != nil {
-		r.mu.Lock()
-		r.insertLocked(key, rec)
-		r.mu.Unlock()
-		if count {
-			r.hits.Inc()
-		}
-		return rec, true
-	}
-	if count {
-		r.misses.Inc()
-	}
-	return nil, false
+func buildingRecord(spec FitSpec) *Record {
+	return &Record{Key: spec.Key.String(), Status: StatusBuilding, Tol: spec.Tol, Spec: spec}
 }
 
 // GetOrBuild returns the admission record for spec.Key, running the
 // fit → validate → admit pipeline at most once across concurrent
-// callers. An existing record (admitted or rejected) is returned as
-// is: builds are deterministic, so a rejected key is not retried until
-// evicted. The build runs under the first caller's ctx.
+// callers. An existing record (admitted or rejected, in memory or an
+// admitted model on disk) is returned as is: builds are deterministic,
+// so a rejected key is not retried until evicted. The build runs under
+// the first caller's ctx.
 func (r *Registry) GetOrBuild(ctx context.Context, src Source, spec FitSpec) (*Record, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	key := spec.Key
-	r.mu.Lock()
-	if el, ok := r.items[key]; ok {
-		r.ll.MoveToFront(el)
-		rec := el.Value.(*regEntry).rec
+	built := false
+	rec, _, err := r.cache.GetOrCompute(ctx, spec.Key, func(ctx context.Context) (*Record, error) {
+		built = true
+		r.mu.Lock()
+		r.building[spec.Key] = spec
 		r.mu.Unlock()
-		return rec, nil
-	}
-	if fl, ok := r.builds[key]; ok {
+		return r.build(ctx, src, spec)
+	})
+	if built {
+		r.mu.Lock()
+		delete(r.building, spec.Key)
 		r.mu.Unlock()
-		r.shared.Inc()
-		select {
-		case <-fl.done:
-			return fl.rec, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
-	fl := &buildFlight{done: make(chan struct{}), spec: spec}
-	if r.builds == nil {
-		r.builds = map[rescache.Key]*buildFlight{}
-	}
-	r.builds[key] = fl
-	r.mu.Unlock()
-
-	rec, err := r.build(ctx, src, spec)
-	fl.rec, fl.err = rec, err
-	r.mu.Lock()
-	delete(r.builds, key)
-	if err == nil {
-		r.insertLocked(key, rec)
-	}
-	r.mu.Unlock()
-	close(fl.done)
 	return rec, err
 }
 
-// build runs the admission pipeline once: a disk probe (an admitted
-// model may predate this process), then fit, validate, and the
+// build runs the admission pipeline once: fit, validate, and the
 // tolerance verdict.
 func (r *Registry) build(ctx context.Context, src Source, spec FitSpec) (*Record, error) {
-	if rec := r.loadDisk(spec.Key); rec != nil {
-		return rec, nil
-	}
 	start := time.Now()
 	model, err := Fit(ctx, src, spec, r.metrics)
 	if err != nil {
@@ -243,31 +227,28 @@ func (r *Registry) build(ctx context.Context, src Source, spec FitSpec) (*Record
 	rec.Status = StatusAdmitted
 	rec.Model = model
 	r.admitted.Inc()
-	if r.dir != "" {
-		b, err := Encode(model)
-		if err == nil {
-			err = rescache.WriteFileAtomic(r.dir, r.filename(spec.Key), b)
-		}
-		if err != nil {
-			r.diskErrors.Inc()
-		}
-	}
 	return rec, nil
 }
 
-// List snapshots every memory-resident record plus in-flight builds,
-// most recently used first.
+// List snapshots every memory-resident record, most recently used
+// first, plus in-flight builds.
 func (r *Registry) List() []*Record {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Record, 0, 8)
-	if r.ll != nil {
-		for el := r.ll.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*regEntry).rec)
-		}
+	building := make([]FitSpec, 0, len(r.building))
+	for _, spec := range r.building {
+		building = append(building, spec)
 	}
-	for _, fl := range r.builds {
-		out = append(out, &Record{Key: fl.spec.Key.String(), Status: StatusBuilding, Tol: fl.spec.Tol, Spec: fl.spec})
+	r.mu.Unlock()
+	out := r.cache.Values()
+	listed := make(map[string]bool, len(out))
+	for _, rec := range out {
+		listed[rec.Key] = true
+	}
+	for _, spec := range building {
+		// A build that finished since the snapshot is already listed.
+		if !listed[spec.Key.String()] {
+			out = append(out, buildingRecord(spec))
+		}
 	}
 	return out
 }
@@ -277,83 +258,9 @@ func (r *Registry) List() []*Record {
 // in-flight build is not interrupted (its record lands afterwards and
 // can be evicted again).
 func (r *Registry) Evict(key rescache.Key) bool {
-	r.mu.Lock()
-	removed := false
-	if el, ok := r.items[key]; ok {
-		r.ll.Remove(el)
-		delete(r.items, key)
-		r.entries.Set(float64(r.ll.Len()))
-		removed = true
+	if !r.cache.Delete(key) {
+		return false
 	}
-	r.mu.Unlock()
-	if r.dir != "" {
-		if err := os.Remove(filepath.Join(r.dir, r.filename(key))); err == nil {
-			removed = true
-		}
-	}
-	if removed {
-		r.evictions.Inc()
-	}
-	return removed
-}
-
-// insertLocked adds rec under key, evicting LRU records past capacity.
-// Caller holds r.mu.
-func (r *Registry) insertLocked(key rescache.Key, rec *Record) {
-	if r.ll == nil {
-		r.ll = list.New()
-		r.items = map[rescache.Key]*list.Element{}
-	}
-	if el, ok := r.items[key]; ok {
-		el.Value.(*regEntry).rec = rec
-		r.ll.MoveToFront(el)
-		return
-	}
-	r.items[key] = r.ll.PushFront(&regEntry{key: key, rec: rec})
-	for r.ll.Len() > r.capacity {
-		back := r.ll.Back()
-		r.ll.Remove(back)
-		delete(r.items, back.Value.(*regEntry).key)
-		r.evictions.Inc()
-	}
-	r.entries.Set(float64(r.ll.Len()))
-}
-
-func (r *Registry) filename(key rescache.Key) string {
-	// A distinct suffix keeps surrogate models recognizable next to
-	// rescache point entries if an operator points both at one
-	// directory.
-	return key.String() + ".surrogate.json"
-}
-
-// loadDisk resolves an admitted model from the persistent tier. Any
-// decode or shape failure (torn write predating the fsync discipline,
-// schema bump, key mismatch) is a miss, never an error.
-func (r *Registry) loadDisk(key rescache.Key) *Record {
-	if r.dir == "" {
-		return nil
-	}
-	b, err := os.ReadFile(filepath.Join(r.dir, r.filename(key)))
-	if err != nil {
-		return nil
-	}
-	model, err := Decode(b)
-	if err != nil || model.Key != key.String() {
-		r.diskErrors.Inc()
-		return nil
-	}
-	return &Record{
-		Key:       model.Key,
-		Status:    StatusAdmitted,
-		Model:     model,
-		MaxRelErr: model.MaxRelErr,
-		Spec: FitSpec{
-			Key:     key,
-			FMinHz:  model.FMinHz,
-			FMaxHz:  model.FMaxHz,
-			Order:   model.Order,
-			Anchors: len(model.XNodes),
-			Meta:    model.Meta,
-		},
-	}
+	r.evictions.Inc()
+	return true
 }

@@ -143,13 +143,13 @@ type Simulation struct {
 }
 
 // WithMetrics threads a telemetry registry through the simulation: the
-// underlying solver publishes solve.* metrics and every SSCM /
-// Monte-Carlo run publishes its driver metrics there. Call it before
-// the first solve; it returns the receiver for chaining.
+// underlying solver publishes solve.* metrics (and, unless a shared
+// table cache is attached, its private cache's tables.* metrics) and
+// every SSCM / Monte-Carlo run publishes its driver metrics there. Call
+// it before the first solve; it returns the receiver for chaining.
 func (s *Simulation) WithMetrics(r *telemetry.Registry) *Simulation {
 	s.metrics = r
 	s.solver.Metrics = r
-	s.solver.TableCache().SetMetrics(r)
 	return s
 }
 
@@ -219,24 +219,6 @@ func (s *Simulation) MeanLossFactorCtx(ctx context.Context, f float64) (float64,
 		return 0, err
 	}
 	return res.PCE.Mean(), nil
-}
-
-// SweepMeanLossFactor computes E[Pr/Ps] at every frequency of freqs,
-// checking ctx between frequencies (and inside each collocation run) so
-// a timeout or Ctrl-C stops a long sweep promptly with ctx.Err().
-func (s *Simulation) SweepMeanLossFactor(ctx context.Context, freqs []float64) ([]float64, error) {
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k, err := s.MeanLossFactorCtx(ctx, f)
-		if err != nil {
-			return nil, fmt.Errorf("roughsim: sweep at f=%g: %w", f, err)
-		}
-		out[i] = k
-	}
-	return out, nil
 }
 
 // SSCM builds the order-p polynomial chaos surrogate of K at f.

@@ -7,6 +7,13 @@ set -eux
 
 go build ./...
 go vet ./...
+# One cache: the LRU lives in internal/rescache (Cache[K, V]); any other
+# non-test file importing container/list is a hand-rolled copy.
+if git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^internal/rescache/' |
+    xargs grep -l '"container/list"'; then
+    echo "container/list imported outside internal/rescache: use rescache.Cache" >&2
+    exit 1
+fi
 # staticcheck when available (CI pin-installs it; local runs without
 # network skip it rather than fail).
 if command -v staticcheck >/dev/null 2>&1; then
